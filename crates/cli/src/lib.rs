@@ -1430,7 +1430,10 @@ pub fn run_lockgraph(dot: bool) -> (String, i32) {
     drop(engine);
     let _ = std::fs::remove_dir_all(&wal_dir);
     // Wire leg: server.engine / server.conns plus the accept-wait
-    // blocking region.
+    // blocking region. The 16-instance submit spans 16 admission chunks
+    // and fans out to workers; the one-instance submit is one chunk, so
+    // it runs on the connection thread with every engine class nested
+    // under server.engine.
     let served = (|| -> Result<(), String> {
         let server = Server::bind(
             "127.0.0.1:0",
@@ -1450,6 +1453,7 @@ pub fn run_lockgraph(dot: bool) -> (String, i32) {
             .register(spec_json, InflateSpec::Auto { cap: 2 })
             .map_err(|e| format!("register: {e}"))?;
         client.submit_all(16).map_err(|e| format!("submit: {e}"))?;
+        client.submit_all(1).map_err(|e| format!("submit: {e}"))?;
         client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
         let _ = handle.join();
         Ok(())

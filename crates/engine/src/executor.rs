@@ -1,6 +1,7 @@
 //! The worker-pool executor: drains a queue of transaction instances,
 //! acquires locks across shards in partial-order-respecting order, and
-//! applies the template's reads/writes.
+//! applies the template's reads/writes. A run that fits one admission
+//! chunk skips the pool and executes on the calling thread.
 //!
 //! Two lock-wait disciplines, selected by the cached admission verdict:
 //!
@@ -62,7 +63,9 @@ fn batch_oracle_cap() -> usize {
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads draining the instance queue.
+    /// At most this many worker threads drain the instance queue: a
+    /// run starts one worker per admission chunk up to this cap, and a
+    /// one-chunk run executes on the caller's thread (no pool).
     pub threads: usize,
     /// Total transaction instances to run (assigned round-robin over the
     /// registered templates). Capped at `u32::MAX`; [`Engine::run`]
@@ -359,13 +362,13 @@ impl Engine {
     }
 
     /// Runs `cfg.instances` instances (assigned round-robin over the
-    /// registered templates) on `cfg.threads` workers and reports.
+    /// registered templates) on up to `cfg.threads` workers and reports.
     /// Reusable; the store accumulates writes across runs and the
     /// outcome folds into [`Engine::report_snapshot`].
     pub fn run(&self) -> Report {
-        let sys = self.registry.system().clone();
+        let sys = self.registry.system();
         if sys.is_empty() || self.cfg.instances == 0 {
-            return self.build_report(&sys, &[], &[], SharedHistory::new(), Duration::ZERO, None);
+            return self.build_report(sys, &[], &[], SharedHistory::new(), Duration::ZERO, None);
         }
         let instances: Vec<Instance> = (0..self.cfg.instances)
             .map(|i| Instance {
@@ -378,7 +381,7 @@ impl Engine {
 
     /// Runs an explicit per-template mix — `count` instances of each
     /// listed template, interleaved round-robin across the entries — on
-    /// `cfg.threads` workers (ignoring `cfg.instances`). This is the
+    /// up to `cfg.threads` workers (ignoring `cfg.instances`). This is the
     /// submission path of the wire server, where clients pick templates
     /// by name instead of taking the uniform round-robin of
     /// [`Engine::run`].
@@ -388,7 +391,7 @@ impl Engine {
     /// registered template or the total instance count exceeds
     /// `u32::MAX` (instance ids double as wait-die timestamps).
     pub fn run_mix(&self, mix: &[(TxnId, usize)]) -> Report {
-        let sys = self.registry.system().clone();
+        let sys = self.registry.system();
         for &(t, _) in mix {
             assert!(
                 t.index() < sys.len(),
@@ -398,7 +401,7 @@ impl Engine {
         }
         let total: usize = mix.iter().map(|&(_, n)| n).sum();
         if sys.is_empty() || total == 0 {
-            return self.build_report(&sys, &[], &[], SharedHistory::new(), Duration::ZERO, None);
+            return self.build_report(sys, &[], &[], SharedHistory::new(), Duration::ZERO, None);
         }
         u32::try_from(total).expect("instance count fits u32");
         let mut remaining: Vec<(TxnId, usize)> = mix.to_vec();
@@ -425,14 +428,14 @@ impl Engine {
     /// the first run it reports the registered system with zero
     /// instances and `serializable: None`.
     pub fn report_snapshot(&self) -> Report {
-        let sys = self.registry.system().clone();
+        let sys = self.registry.system();
         self.cumulative.lock().clone().unwrap_or_else(|| {
-            self.build_report(&sys, &[], &[], SharedHistory::new(), Duration::ZERO, None)
+            self.build_report(sys, &[], &[], SharedHistory::new(), Duration::ZERO, None)
         })
     }
 
     fn run_instances(&self, instances: Vec<Instance>) -> Report {
-        let sys = self.registry.system().clone();
+        let sys = self.registry.system();
         // With a WAL attached, this run's instances get globally unique
         // ids `base..base + n` within the log directory, so histories of
         // successive runs concatenate without collisions; the history
@@ -471,6 +474,9 @@ impl Engine {
             work_tx.send(chunk.to_vec()).expect("receiver alive");
         }
         drop(work_tx);
+        // Each chunk runs start to finish on one worker, so workers beyond
+        // the chunk count would only find the queue empty.
+        let workers = self.cfg.threads.max(1).min(instances.len().div_ceil(batch));
 
         // Per-run multiprogramming accounting starts fresh.
         for t in 0..self.registry.len() {
@@ -494,18 +500,29 @@ impl Engine {
             None => (0, 0),
         };
         let started = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..self.cfg.threads.max(1) {
-                let work_rx = work_rx.clone();
-                let done_tx = done_tx.clone();
-                let shared = &shared;
-                let auditor = &auditor;
-                let ttable = ttable.as_deref();
-                scope.spawn(move || self.worker(work_rx, done_tx, shared, base, auditor, ttable));
-            }
-        });
+        if workers == 1 {
+            // One chunk: only one worker could ever get work, so run it
+            // here and skip spawning a pool. Multi-chunk runs keep the
+            // caller out of the pool: on a shared CPU a calling thread
+            // that also executes chunks takes CPU share from concurrent
+            // work (snapshot readers) without finishing the run sooner.
+            self.worker(work_rx, done_tx, &shared, base, &auditor, ttable.as_deref());
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    let work_rx = work_rx.clone();
+                    let done_tx = done_tx.clone();
+                    let shared = &shared;
+                    let auditor = &auditor;
+                    let ttable = ttable.as_deref();
+                    scope.spawn(move || {
+                        self.worker(work_rx, done_tx, shared, base, auditor, ttable)
+                    });
+                }
+            });
+            drop(done_tx);
+        }
         let wall = started.elapsed();
-        drop(done_tx);
         // Buffered log writers may still hold encoded frames; push them
         // to the kernel so a post-run crash loses nothing this run
         // claimed durable (commit decisions were already flushed — and
@@ -539,7 +556,7 @@ impl Engine {
             outcomes[id as usize] = out;
         }
         let mut report =
-            self.build_report(&sys, &instances, &outcomes, shared, wall, Some(&auditor));
+            self.build_report(sys, &instances, &outcomes, shared, wall, Some(&auditor));
         report.phases = self.cfg.telemetry.phase_snapshot().delta(&phases_before);
         if let Some(w) = &self.wal {
             let (flushes, commits) = w.group_counters();

@@ -22,17 +22,33 @@
 //!
 //! ## Complexity contract
 //!
-//! Per committed event the auditor pays `O(log n)` for the chain lookup
-//! (a `BTreeMap` keyed by event time — committed-out-of-order instances
-//! insert mid-chain) plus the Pearce–Kelly insertion, whose cost is
-//! bounded by the size of the *affected region* of the new arc.
-//! Histories whose commit order roughly follows lock order (every
-//! engine run; every WAL replay) insert almost all arcs forward, so the
-//! amortized cost per event is effectively constant; the worst case per
-//! arc is `O(v log v)` for an affected region of `v` vertices. A full
-//! audit of `n` instances is therefore `O(n log n)`-ish instead of the
-//! batch `Θ(n²)` — the difference between a 20k-instance recovery
-//! taking minutes and taking well under a second (see
+//! Every per-event structure is a dense `Vec`; the only hashing left is
+//! one `gid → slot` lookup per call (gids come from the caller — WAL
+//! gids read off disk, sparse ids in tests — so that map keeps the
+//! default hasher). Behind it:
+//!
+//! * instance state lives in a `Vec` indexed by slot, with buffered
+//!   events in one flat per-instance `Vec` tagged by attempt and lock
+//!   times in a `Vec` indexed by the entity's position in the template;
+//! * each entity's chain is a `Vec` indexed by entity and kept sorted by
+//!   lock time. A merge binary-searches its place; committed-out-of-order
+//!   instances insert mid-chain, but merges arrive almost in time order,
+//!   so nearly every insert is a push at the end;
+//! * the conflict graph finds a duplicate arc by scanning the shorter of
+//!   the two endpoints' adjacency lists (short: chain arcs join adjacent
+//!   lockers only), and its backwards-arc repair marks visited vertices
+//!   in epoch-stamped `Vec`s instead of hash sets.
+//!
+//! Per committed event the auditor therefore pays `O(log c)` for the
+//! chain search (`c` the entity's chain length) plus the Pearce–Kelly
+//! insertion, whose cost is bounded by the size of the *affected region*
+//! of the new arc. Histories whose commit order roughly follows lock
+//! order (every engine run; every WAL replay) insert almost all arcs
+//! forward, so the amortized cost per event is effectively constant; the
+//! worst case per arc is `O(v log v)` for an affected region of `v`
+//! vertices. A full audit of `n` instances is therefore `O(n log n)`-ish
+//! instead of the batch `Θ(n²)` — the difference between a 20k-instance
+//! recovery taking minutes and taking well under a second (see
 //! `BENCH_audit.json`).
 //!
 //! The batch audit stays in the tree as the **oracle**: proptests drive
@@ -55,12 +71,11 @@
 //! lock chain — committing out of order cannot flip an arc.
 
 use crate::error::ModelError;
-use crate::ids::{EntityId, GlobalNode, NodeId, TxnId};
+use crate::ids::{GlobalNode, NodeId, TxnId};
 use crate::prefix::Prefix;
 use crate::system::TransactionSystem;
 use crate::txn::Transaction;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::ops::Bound::{Excluded, Unbounded};
+use std::collections::HashMap;
 
 /// A directed graph that maintains a topological order of its vertices
 /// under arc insertion (Pearce–Kelly), reporting a cycle witness the
@@ -74,8 +89,16 @@ pub struct IncrementalTopo {
     /// permutation of `0..len` with `pos[u] < pos[v]` for every arc
     /// `u → v`.
     pos: Vec<u32>,
-    /// Arc dedup: `u << 32 | v` for every present arc.
-    arcs: HashSet<u64>,
+    /// Number of distinct arcs.
+    arcs: usize,
+    /// Search marks for [`reorder`](Self::reorder): `mark[w] == epoch`
+    /// means `w` was visited by the current search, so a new search
+    /// starts by bumping `epoch` instead of clearing the marks.
+    mark: Vec<u32>,
+    epoch: u32,
+    /// Forward-search parent of each vertex marked by the current
+    /// forward search (the cycle witness walks it back).
+    parent: Vec<u32>,
 }
 
 impl IncrementalTopo {
@@ -96,7 +119,7 @@ impl IncrementalTopo {
 
     /// Number of distinct arcs.
     pub fn arc_count(&self) -> usize {
-        self.arcs.len()
+        self.arcs
     }
 
     /// Adds a fresh vertex, returning its index. Appending to the end of
@@ -107,6 +130,8 @@ impl IncrementalTopo {
         self.pred.push(Vec::new());
         self.pos
             .push(u32::try_from(v).expect("vertex count fits u32"));
+        self.mark.push(0);
+        self.parent.push(0);
         v
     }
 
@@ -125,8 +150,7 @@ impl IncrementalTopo {
         if u == v {
             return Err(vec![u]);
         }
-        let key = (u as u64) << 32 | v as u64;
-        if self.arcs.contains(&key) {
+        if self.has_arc(u, v) {
             return Ok(false);
         }
         if self.pos[u] >= self.pos[v] {
@@ -134,10 +158,31 @@ impl IncrementalTopo {
             // either find a cycle or locally repair the order.
             self.reorder(u, v)?;
         }
-        self.arcs.insert(key);
+        self.arcs += 1;
         self.succ[u].push(v as u32);
         self.pred[v].push(u as u32);
         Ok(true)
+    }
+
+    /// Whether `u → v` is present, scanning the shorter of `succ[u]` and
+    /// `pred[v]`.
+    fn has_arc(&self, u: usize, v: usize) -> bool {
+        if self.succ[u].len() <= self.pred[v].len() {
+            self.succ[u].contains(&(v as u32))
+        } else {
+            self.pred[v].contains(&(u as u32))
+        }
+    }
+
+    /// A fresh search epoch; on wrap-around the marks are cleared so no
+    /// stale mark can alias the new epoch.
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.mark.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
     }
 
     /// Pearce–Kelly repair for a backwards arc `u → v`
@@ -151,11 +196,10 @@ impl IncrementalTopo {
         let ub = self.pos[u];
 
         // Forward DFS from v, parents kept for the cycle witness.
+        let epoch = self.next_epoch();
         let mut fwd: Vec<usize> = Vec::new();
-        let mut parent: HashMap<usize, usize> = HashMap::new();
-        let mut seen: HashSet<usize> = HashSet::new();
         let mut stack = vec![v];
-        seen.insert(v);
+        self.mark[v] = epoch;
         while let Some(w) = stack.pop() {
             fwd.push(w);
             for &x in &self.succ[w] {
@@ -168,30 +212,32 @@ impl IncrementalTopo {
                     let mut rev = Vec::new();
                     while cur != v {
                         rev.push(cur);
-                        cur = parent[&cur];
+                        cur = self.parent[cur] as usize;
                     }
                     path.extend(rev.into_iter().rev());
                     return Err(path);
                 }
                 // Existing arcs respect the order, so pos[x] > pos[w] ≥ lb
                 // always; only the upper bound needs checking.
-                if self.pos[x] < ub && seen.insert(x) {
-                    parent.insert(x, w);
+                if self.pos[x] < ub && self.mark[x] != epoch {
+                    self.mark[x] = epoch;
+                    self.parent[x] = w as u32;
                     stack.push(x);
                 }
             }
         }
 
         // Backward DFS from u within positions ≥ lb.
+        let epoch = self.next_epoch();
         let mut bwd: Vec<usize> = Vec::new();
-        let mut bseen: HashSet<usize> = HashSet::new();
-        let mut stack = vec![u];
-        bseen.insert(u);
+        stack.push(u);
+        self.mark[u] = epoch;
         while let Some(w) = stack.pop() {
             bwd.push(w);
             for &x in &self.pred[w] {
                 let x = x as usize;
-                if self.pos[x] > lb && bseen.insert(x) {
+                if self.pos[x] > lb && self.mark[x] != epoch {
+                    self.mark[x] = epoch;
                     stack.push(x);
                 }
             }
@@ -212,32 +258,52 @@ impl IncrementalTopo {
     }
 }
 
-/// One committed lock of an entity, keyed in its chain by lock time.
-#[derive(Debug, Clone)]
+/// Unlock time of a chain entry whose unlock has not merged (still held,
+/// or forever if the unlock never reached the stream — a torn log).
+/// Event times never reach it.
+const HELD: u64 = u64::MAX;
+/// `InstanceState::lock_time` value of an entity not locked yet.
+const UNLOCKED: u64 = u64::MAX;
+
+/// One committed lock of an entity; chains are sorted by `lock`.
+#[derive(Debug, Clone, Copy)]
 struct ChainEntry {
-    /// The instance holding this chain slot.
-    gid: u32,
-    /// When the instance unlocked the entity (`None` while held, or
-    /// forever if the unlock never reached the stream — a torn log).
-    unlock: Option<u64>,
+    /// When the instance locked the entity (unique: one clock tick per
+    /// event).
+    lock: u64,
+    /// When it unlocked the entity, or [`HELD`].
+    unlock: u64,
+    /// Slot of the instance holding this chain position.
+    slot: u32,
+}
+
+/// One buffered event of an undecided attempt.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    attempt: u32,
+    time: u64,
+    node: NodeId,
 }
 
 /// Per-instance audit state.
 #[derive(Debug)]
 struct InstanceState {
+    /// The caller's instance id.
+    gid: u32,
     /// Template index within the auditor's system.
     template: u32,
     /// The committed attempt, once decided.
     committed: Option<u32>,
     /// The instance's vertex in the conflict graph (assigned at commit).
     vertex: Option<u32>,
-    /// Buffered events of undecided attempts: `attempt → [(time, node)]`.
-    pending: HashMap<u32, Vec<(u64, NodeId)>>,
+    /// Buffered events of undecided attempts, in arrival order.
+    pending: Vec<Pending>,
     /// Merged (committed-projection) nodes, for step validation.
     merged: Prefix,
-    /// Lock time of each entity this instance has locked in the merged
-    /// projection (the key of its entry in the entity's chain).
-    lock_time: HashMap<EntityId, u64>,
+    /// Lock time of each of the template's entities (indexed by position
+    /// in [`Transaction::entities`]) in the merged projection — the key
+    /// of its entry in the entity's chain — or [`UNLOCKED`].
+    lock_time: Vec<u64>,
 }
 
 /// An online auditor for the committed projection of a run's history:
@@ -261,12 +327,18 @@ struct InstanceState {
 #[derive(Debug)]
 pub struct StreamingAuditor {
     templates: Vec<Transaction>,
-    instances: HashMap<u32, InstanceState>,
-    /// Per-entity committed lock chains, keyed by lock time.
-    chains: HashMap<EntityId, BTreeMap<u64, ChainEntry>>,
+    /// `entity_pos[t][n]`: position of template `t`'s node `n`'s entity
+    /// in `templates[t].entities()` (the index into `lock_time`).
+    entity_pos: Vec<Vec<u32>>,
+    /// Instance gid → index into `instances`.
+    slot_of: HashMap<u32, u32>,
+    instances: Vec<InstanceState>,
+    /// Per-entity committed lock chains, indexed by entity (grown on
+    /// first lock) and sorted by lock time.
+    chains: Vec<Vec<ChainEntry>>,
     topo: IncrementalTopo,
-    /// Conflict-graph vertex → instance gid.
-    vertex_gid: Vec<u32>,
+    /// Conflict-graph vertex → instance slot.
+    vertex_slot: Vec<u32>,
     /// Arrival clock: each event gets the next tick, so merge order
     /// cannot disturb event order.
     clock: u64,
@@ -282,12 +354,26 @@ impl StreamingAuditor {
     /// dynamically with [`admit`](Self::admit), each naming the template
     /// it instantiates.
     pub fn new(sys: &TransactionSystem) -> Self {
+        let entity_pos = sys
+            .txns()
+            .iter()
+            .map(|t| {
+                t.nodes()
+                    .map(|n| {
+                        let e = t.op(n).entity;
+                        t.entities().binary_search(&e).expect("accessed entity") as u32
+                    })
+                    .collect()
+            })
+            .collect();
         Self {
             templates: sys.txns().to_vec(),
-            instances: HashMap::new(),
-            chains: HashMap::new(),
+            entity_pos,
+            slot_of: HashMap::new(),
+            instances: Vec::new(),
+            chains: Vec::new(),
             topo: IncrementalTopo::new(),
-            vertex_gid: Vec::new(),
+            vertex_slot: Vec::new(),
             clock: 0,
             merged_events: 0,
             committed: 0,
@@ -320,16 +406,21 @@ impl StreamingAuditor {
     /// admitted with a different template.
     pub fn admit(&mut self, gid: u32, template: TxnId) {
         let tmpl = &self.templates[template.index()];
-        let prev = self.instances.entry(gid).or_insert_with(|| InstanceState {
-            template: template.0,
-            committed: None,
-            vertex: None,
-            pending: HashMap::new(),
-            merged: Prefix::empty(tmpl),
-            lock_time: HashMap::new(),
-        });
+        let next = u32::try_from(self.instances.len()).expect("instance count fits u32");
+        let slot = *self.slot_of.entry(gid).or_insert(next);
+        if slot == next {
+            self.instances.push(InstanceState {
+                gid,
+                template: template.0,
+                committed: None,
+                vertex: None,
+                pending: Vec::new(),
+                merged: Prefix::empty(tmpl),
+                lock_time: vec![UNLOCKED; tmpl.entities().len()],
+            });
+        }
         assert_eq!(
-            prev.template, template.0,
+            self.instances[slot as usize].template, template.0,
             "instance {gid} re-admitted with a different template"
         );
     }
@@ -346,14 +437,19 @@ impl StreamingAuditor {
         if self.error.is_some() {
             return;
         }
-        let Some(inst) = self.instances.get_mut(&gid) else {
+        let Some(&slot) = self.slot_of.get(&gid) else {
             self.fail(ModelError::UnknownTxn(TxnId(gid)));
             return;
         };
+        let inst = &mut self.instances[slot as usize];
         match inst.committed {
-            Some(a) if a == attempt => self.merge(gid, time, node),
+            Some(a) if a == attempt => self.merge(slot, time, node),
             Some(_) => {}
-            None => inst.pending.entry(attempt).or_default().push((time, node)),
+            None => inst.pending.push(Pending {
+                attempt,
+                time,
+                node,
+            }),
         }
     }
 
@@ -376,28 +472,27 @@ impl StreamingAuditor {
         if self.error.is_some() {
             return;
         }
-        let inst = self
-            .instances
-            .get_mut(&gid)
+        let slot = *self
+            .slot_of
+            .get(&gid)
             .unwrap_or_else(|| panic!("commit of unadmitted instance {gid}"));
+        let inst = &mut self.instances[slot as usize];
         if let Some(prev) = inst.committed {
             assert_eq!(prev, attempt, "instance {gid} committed twice");
             return;
         }
         inst.committed = Some(attempt);
-        let buffered = inst.pending.remove(&attempt).unwrap_or_default();
-        inst.pending.clear();
+        let buffered = std::mem::take(&mut inst.pending);
         let vertex = self.topo.add_node();
-        self.instances.get_mut(&gid).unwrap().vertex =
-            Some(u32::try_from(vertex).expect("vertex fits u32"));
-        debug_assert_eq!(self.vertex_gid.len(), vertex);
-        self.vertex_gid.push(gid);
+        inst.vertex = Some(u32::try_from(vertex).expect("vertex fits u32"));
+        debug_assert_eq!(self.vertex_slot.len(), vertex);
+        self.vertex_slot.push(slot);
         self.committed += 1;
-        for (time, node) in buffered {
+        for p in buffered.into_iter().filter(|p| p.attempt == attempt) {
             if self.error.is_some() {
                 break;
             }
-            self.merge(gid, time, node);
+            self.merge(slot, p.time, p.node);
         }
     }
 
@@ -405,8 +500,10 @@ impl StreamingAuditor {
     /// the attempt's locks were released and its writes rolled back, so
     /// it contributes nothing to the committed projection.
     pub fn abort(&mut self, gid: u32, attempt: u32) {
-        if let Some(inst) = self.instances.get_mut(&gid) {
-            inst.pending.remove(&attempt);
+        if let Some(&slot) = self.slot_of.get(&gid) {
+            self.instances[slot as usize]
+                .pending
+                .retain(|p| p.attempt != attempt);
         }
     }
 
@@ -414,98 +511,98 @@ impl StreamingAuditor {
     /// step (the same §2 conditions as `Schedule::validate`, phrased
     /// per-instance), updates the entity's lock chain, and inserts the
     /// adjacency arcs.
-    fn merge(&mut self, gid: u32, time: u64, node: NodeId) {
+    fn merge(&mut self, slot: u32, time: u64, node: NodeId) {
+        let inst = &mut self.instances[slot as usize];
+        let gid = inst.gid;
         let step = GlobalNode::new(TxnId(gid), node);
         // Phase 1: validate the step and update the instance's merged
-        // prefix; report the accessed entity and the op kind.
-        let (entity, is_lock) = {
-            let inst = self.instances.get_mut(&gid).expect("merged gid admitted");
-            let tmpl = &self.templates[inst.template as usize];
-            if node.index() >= tmpl.node_count() {
-                self.fail(ModelError::BadScheduleStep(step));
-                return;
-            }
-            if inst.merged.contains(node) {
-                self.fail(ModelError::DuplicateStep(step));
-                return;
-            }
-            if let Some(&missing) = tmpl
-                .predecessors(node)
-                .iter()
-                .find(|&&q| !inst.merged.contains(q))
-            {
-                self.fail(ModelError::PrecedenceViolated { step, missing });
-                return;
-            }
-            let op = tmpl.op(node);
-            inst.merged.push(node);
-            if op.is_lock() {
-                inst.lock_time.insert(op.entity, time);
-            }
-            (op.entity, op.is_lock())
-        };
+        // prefix; resolve the accessed entity and the op kind.
+        let tmpl = &self.templates[inst.template as usize];
+        if node.index() >= tmpl.node_count() {
+            self.fail(ModelError::BadScheduleStep(step));
+            return;
+        }
+        if inst.merged.contains(node) {
+            self.fail(ModelError::DuplicateStep(step));
+            return;
+        }
+        if let Some(&missing) = tmpl
+            .predecessors(node)
+            .iter()
+            .find(|&&q| !inst.merged.contains(q))
+        {
+            self.fail(ModelError::PrecedenceViolated { step, missing });
+            return;
+        }
+        let op = tmpl.op(node);
+        let entity = op.entity;
+        let pos = self.entity_pos[inst.template as usize][node.index()] as usize;
+        inst.merged.push(node);
+        let lock_t = inst.lock_time[pos];
+        if op.is_lock() {
+            inst.lock_time[pos] = time;
+        }
         self.merged_events += 1;
 
         // Phase 2: chain update + arcs.
-        if is_lock {
-            let chain = self.chains.entry(entity).or_default();
-            let pred = chain
-                .range(..time)
-                .next_back()
-                .map(|(&t, e)| (t, e.clone()));
-            let succ = chain
-                .range((Excluded(time), Unbounded))
-                .next()
-                .map(|(&t, e)| (t, e.clone()));
-            chain.insert(time, ChainEntry { gid, unlock: None });
-            if let Some((_, p)) = &pred {
+        if self.chains.len() <= entity.index() {
+            self.chains.resize_with(entity.index() + 1, Vec::new);
+        }
+        let chain = &mut self.chains[entity.index()];
+        if op.is_lock() {
+            let at = chain.partition_point(|c| c.lock < time);
+            let pred = at.checked_sub(1).map(|i| chain[i]);
+            let succ = chain.get(at).map(|c| c.slot);
+            chain.insert(
+                at,
+                ChainEntry {
+                    lock: time,
+                    unlock: HELD,
+                    slot,
+                },
+            );
+            if let Some(p) = pred {
                 // The previous locker must have let go before this lock.
-                if p.unlock.is_none_or(|u| u >= time) {
+                if p.unlock >= time {
+                    let holder = TxnId(self.instances[p.slot as usize].gid);
                     self.fail(ModelError::LockHeld {
                         step,
                         entity,
-                        holder: TxnId(p.gid),
+                        holder,
                     });
                     return;
                 }
-                self.link(p.gid, gid);
+                self.link(p.slot, slot);
             }
-            if let Some((_, s)) = succ {
+            if let Some(s) = succ {
                 // A mid-chain insert (this instance committed later than
                 // a later locker): the order-side arc. Whether the two
                 // holds overlapped is checked when this instance's
                 // unlock merges.
-                self.link(gid, s.gid);
+                self.link(slot, s);
             }
         } else {
-            let lock_t = match self.instances[&gid].lock_time.get(&entity) {
-                Some(&t) => t,
-                None => {
-                    // Unreachable for well-formed templates (Lx ≺ Ux is a
-                    // transaction invariant and precedence was checked),
-                    // but fail closed rather than panic on a hostile
-                    // stream.
-                    self.fail(ModelError::PrecedenceViolated {
-                        step,
-                        missing: node,
-                    });
-                    return;
-                }
-            };
-            let overlap = {
-                let chain = self.chains.get_mut(&entity).expect("locked ⇒ chain");
-                chain.get_mut(&lock_t).expect("locked ⇒ entry").unlock = Some(time);
-                // Any later locker must have locked after this unlock.
-                match chain.range((Excluded(lock_t), Unbounded)).next() {
-                    Some((&st, s)) if st < time => Some(s.gid),
-                    _ => None,
-                }
-            };
-            if let Some(succ_gid) = overlap {
-                let s_tmpl = &self.templates[self.instances[&succ_gid].template as usize];
+            if lock_t == UNLOCKED {
+                // Unreachable for well-formed templates (Lx ≺ Ux is a
+                // transaction invariant and precedence was checked), but
+                // fail closed rather than panic on a hostile stream.
+                self.fail(ModelError::PrecedenceViolated {
+                    step,
+                    missing: node,
+                });
+                return;
+            }
+            let at = chain.partition_point(|c| c.lock < lock_t);
+            debug_assert_eq!(chain[at].lock, lock_t, "locked ⇒ entry");
+            chain[at].unlock = time;
+            // Any later locker must have locked after this unlock.
+            let overlap = chain.get(at + 1).filter(|s| s.lock < time).map(|s| s.slot);
+            if let Some(succ) = overlap {
+                let s = &self.instances[succ as usize];
+                let s_tmpl = &self.templates[s.template as usize];
                 let lock_node = s_tmpl.lock_node_of(entity).expect("locker has a lock node");
                 self.fail(ModelError::LockHeld {
-                    step: GlobalNode::new(TxnId(succ_gid), lock_node),
+                    step: GlobalNode::new(TxnId(s.gid), lock_node),
                     entity,
                     holder: TxnId(gid),
                 });
@@ -513,17 +610,26 @@ impl StreamingAuditor {
         }
     }
 
-    /// Inserts the conflict arc `a → b` (instance gids), recording the
+    /// Inserts the conflict arc `a → b` (instance slots), recording the
     /// cycle witness if the arc closes one. After the first cycle the
     /// graph is left untouched — the verdict is already absorbed.
     fn link(&mut self, a: u32, b: u32) {
         if self.cycle.is_some() || a == b {
             return;
         }
-        let va = self.instances[&a].vertex.expect("chain gids committed") as usize;
-        let vb = self.instances[&b].vertex.expect("chain gids committed") as usize;
+        let va = self.instances[a as usize]
+            .vertex
+            .expect("chain slots committed") as usize;
+        let vb = self.instances[b as usize]
+            .vertex
+            .expect("chain slots committed") as usize;
         if let Err(cycle) = self.topo.add_arc(va, vb) {
-            self.cycle = Some(cycle.into_iter().map(|v| self.vertex_gid[v]).collect());
+            self.cycle = Some(
+                cycle
+                    .into_iter()
+                    .map(|v| self.instances[self.vertex_slot[v] as usize].gid)
+                    .collect(),
+            );
         }
     }
 
@@ -541,32 +647,28 @@ impl StreamingAuditor {
         if !self.sealed {
             self.sealed = true;
             if self.error.is_none() {
-                // Deterministic order keeps the witness reproducible.
-                let mut gids: Vec<u32> = self
+                // Deterministic (gid) order keeps the witness
+                // reproducible.
+                let mut committed: Vec<(u32, u32)> = self
                     .instances
                     .iter()
-                    .filter(|(_, i)| i.committed.is_some())
-                    .map(|(&g, _)| g)
+                    .zip(0u32..)
+                    .filter(|(i, _)| i.committed.is_some())
+                    .map(|(i, slot)| (i.gid, slot))
                     .collect();
-                gids.sort_unstable();
-                for gid in gids {
-                    let inst = &self.instances[&gid];
+                committed.sort_unstable();
+                for (_, slot) in committed {
+                    let inst = &self.instances[slot as usize];
                     let tmpl = &self.templates[inst.template as usize];
-                    let unlocked: Vec<EntityId> = tmpl
+                    let lasts: Vec<u32> = tmpl
                         .entities()
                         .iter()
-                        .copied()
-                        .filter(|e| !inst.lock_time.contains_key(e))
+                        .zip(&inst.lock_time)
+                        .filter(|&(_, &t)| t == UNLOCKED)
+                        .filter_map(|(e, _)| self.chains.get(e.index())?.last().map(|c| c.slot))
                         .collect();
-                    for e in unlocked {
-                        let last = self
-                            .chains
-                            .get(&e)
-                            .and_then(|c| c.iter().next_back())
-                            .map(|(_, entry)| entry.gid);
-                        if let Some(last) = last {
-                            self.link(last, gid);
-                        }
+                    for last in lasts {
+                        self.link(last, slot);
                     }
                 }
             }
@@ -634,6 +736,7 @@ mod tests {
     use super::*;
     use crate::database::Database;
     use crate::graph::DiGraph;
+    use crate::ids::EntityId;
     use crate::op::Op;
     use crate::schedule::Schedule;
 
@@ -861,8 +964,8 @@ mod tests {
         // first: the arc must run 10 → 20, i.e. topo position of 10's
         // vertex precedes 20's.
         assert_eq!(a.merged_events(), 8, "the aborted attempt merged nothing");
-        let v10 = a.instances[&10].vertex.unwrap() as usize;
-        let v20 = a.instances[&20].vertex.unwrap() as usize;
+        let vertex = |gid: u32| a.instances[a.slot_of[&gid] as usize].vertex.unwrap() as usize;
+        let (v10, v20) = (vertex(10), vertex(20));
         assert!(a.topo.position(v10) < a.topo.position(v20));
     }
 

@@ -18,6 +18,10 @@
 //! be a different — typically shorter-by-shortcut or longer-by-chain —
 //! cycle than the one batch search happens to find; both must be real).
 //!
+//! Histories come in two gid shapes: sparse gids (`100 + 7i`; the
+//! auditor must not rely on density) and the dense `base..base + n`
+//! block an engine run sends.
+//!
 //! A second pass replays each history the way `wal::recover` does —
 //! commits first, then a *truncated* prefix of the committed events (a
 //! torn history tail) — and checks the sealed verdict against the batch
@@ -39,6 +43,15 @@ enum Call {
     Event(u32, u32, NodeId),
     Commit(u32, u32),
     Abort(u32, u32),
+}
+
+/// How a generated run numbers its instances.
+#[derive(Debug, Clone, Copy)]
+enum Gids {
+    /// `100 + 7i`: gaps everywhere.
+    Sparse,
+    /// `base + i` for a random `base`: an engine run's block of gids.
+    Dense,
 }
 
 /// A generated run: templates, the instance table, the full call stream,
@@ -76,7 +89,7 @@ fn random_template(rng: &mut StdRng, name: &str, db: &Database, n_entities: u32)
 /// a blocked attempt may abort (releasing everything it holds) and
 /// retry; three strikes and the instance fails for good. Records the
 /// exact stream an engine run would feed the auditor.
-fn random_run(seed: u64) -> Run {
+fn random_run(seed: u64, gids: Gids) -> Run {
     let mut rng = StdRng::seed_from_u64(seed);
     let n_entities = rng.gen_range(2..=4u32);
     let db = Database::one_entity_per_site(n_entities as usize);
@@ -87,11 +100,14 @@ fn random_run(seed: u64) -> Run {
     let sys = TransactionSystem::new(db, templates).unwrap();
 
     let n_instances = rng.gen_range(2..=8usize);
-    // Sparse, shuffled gids: the auditor must not rely on density.
-    let instances: Vec<(u32, TxnId)> = (0..n_instances)
+    let (base, stride) = match gids {
+        Gids::Sparse => (100, 7),
+        Gids::Dense => (rng.gen_range(0..1u32 << 20), 1),
+    };
+    let instances: Vec<(u32, TxnId)> = (0..n_instances as u32)
         .map(|i| {
             (
-                100 + 7 * i as u32,
+                base + stride * i,
                 TxnId(rng.gen_range(0..n_templates as u32)),
             )
         })
@@ -132,6 +148,13 @@ fn random_run(seed: u64) -> Run {
         let (gid, t) = instances[i];
         let tmpl = sys.txn(t);
         let s = &mut states[i];
+        if s.pos == s.order.len() {
+            // A finished attempt whose commit decision was held back.
+            calls.push(Call::Commit(gid, s.attempt));
+            committed.insert(gid, s.attempt);
+            s.done = true;
+            continue;
+        }
         let node = s.order[s.pos];
         let op = tmpl.op(node);
         let blocked = op.is_lock() && holders.get(&op.entity).is_some_and(|&h| h != i);
@@ -161,14 +184,19 @@ fn random_run(seed: u64) -> Run {
             s.held.retain(|&e| e != op.entity);
         }
         s.pos += 1;
-        if s.pos == s.order.len() {
+        // Half the finished attempts commit at once; the rest decide
+        // later, after other instances' events — an engine worker's
+        // commit can trail its last unlock the same way — so commits
+        // come out of lock order and merge mid-chain.
+        if s.pos == s.order.len() && rng.gen_bool(0.5) {
             calls.push(Call::Commit(gid, s.attempt));
             committed.insert(gid, s.attempt);
             s.done = true;
         }
     }
-    // Step budget exhausted: whoever is still in flight dies unseen
-    // (its buffered events must not leak into the verdict).
+    // Step budget exhausted: whoever is still in flight, or finished
+    // but undecided, dies unseen (its buffered events must not leak into
+    // the verdict).
     for (i, s) in states.iter_mut().enumerate() {
         if !s.done {
             for e in s.held.drain(..) {
@@ -258,8 +286,8 @@ proptest! {
     /// Live feed (engine order: events stream in, decisions follow):
     /// sealed incremental verdict == batch verdict, witnesses real.
     #[test]
-    fn live_streaming_verdict_matches_batch_oracle(seed in any::<u64>()) {
-        let run = random_run(seed);
+    fn live_streaming_verdict_matches_batch_oracle(seed in any::<u64>(), dense in any::<bool>()) {
+        let run = random_run(seed, if dense { Gids::Dense } else { Gids::Sparse });
         let mut auditor = StreamingAuditor::new(&run.sys);
         for &(gid, t) in &run.instances {
             auditor.admit(gid, t);
@@ -293,8 +321,9 @@ proptest! {
     fn recovery_order_with_torn_tail_matches_batch_oracle(
         seed in any::<u64>(),
         cut_num in 0u64..=8,
+        dense in any::<bool>(),
     ) {
-        let run = random_run(seed);
+        let run = random_run(seed, if dense { Gids::Dense } else { Gids::Sparse });
         let (audit_sys, _committed_attempt, steps) = committed_projection(&run);
         let cut = (steps.len() as u64 * cut_num / 8) as usize;
         let torn = &steps[..cut];
@@ -371,33 +400,111 @@ fn midstream_cycle_is_absorbing() {
     assert_eq!(a.cycle().unwrap(), &witness[..], "witness is stable");
 }
 
-/// Guards the generator itself: across a seed sweep it must exercise
-/// the cases the equivalence proptests claim to cover — retried commits
-/// (committed attempt > 0), permanent failures, and genuinely
-/// non-serializable histories. A vacuous generator would turn the
-/// proptests above into no-ops.
-#[test]
-fn generator_covers_the_interesting_cases() {
-    let (mut retried, mut failed, mut nonser, mut aborts) = (0, 0, 0, 0);
-    for seed in 0..300 {
-        let run = random_run(seed);
-        aborts += run
-            .calls
-            .iter()
-            .filter(|c| matches!(c, Call::Abort(..)))
-            .count();
-        retried += usize::from(run.committed.values().any(|&a| a > 0));
-        failed += usize::from(run.committed.len() < run.instances.len());
-        let (audit_sys, _, steps) = committed_projection(&run);
-        if batch_verdict(&audit_sys, &steps) == Some(false) {
-            nonser += 1;
+/// Per committed instance, `(commit position, lock position of each
+/// entity)` in the live call stream, over its committed attempt only.
+fn lock_positions(run: &Run) -> HashMap<u32, (usize, HashMap<EntityId, usize>)> {
+    let template_of: HashMap<u32, TxnId> = run.instances.iter().copied().collect();
+    let mut out: HashMap<u32, (usize, HashMap<EntityId, usize>)> = HashMap::new();
+    for (i, c) in run.calls.iter().enumerate() {
+        match *c {
+            Call::Event(g, a, n) if run.committed.get(&g) == Some(&a) => {
+                let op = run.sys.txn(template_of[&g]).op(n);
+                if op.is_lock() {
+                    out.entry(g).or_default().1.insert(op.entity, i);
+                }
+            }
+            Call::Commit(g, _) => out.entry(g).or_default().0 = i,
+            _ => {}
         }
     }
-    assert!(
-        aborts > 100,
-        "only {aborts} aborted attempts across the sweep"
-    );
-    assert!(retried > 20, "only {retried} runs with a retried commit");
-    assert!(failed > 20, "only {failed} runs with a failed instance");
-    assert!(nonser > 10, "only {nonser} non-serializable runs");
+    out
+}
+
+/// Whether the live feed merges some lock *mid-chain*: instance `a`
+/// locked an entity before `b` did, yet committed after `b`, so `a`'s
+/// merge lands before `b`'s entry in the entity's sorted chain.
+fn has_mid_chain_insert(run: &Run) -> bool {
+    let pos = lock_positions(run);
+    pos.values().any(|(commit_a, locks_a)| {
+        pos.values().any(|(commit_b, locks_b)| {
+            commit_a > commit_b
+                && locks_a
+                    .iter()
+                    .any(|(e, &la)| locks_b.get(e).is_some_and(|&lb| la < lb))
+        })
+    })
+}
+
+/// Whether the recovery feed adds a conflict arc against the initial
+/// topological order, forcing a Pearce–Kelly `reorder`. Recovery admits
+/// and commits in gid order, so vertex positions start in gid order; the
+/// first chain arc between adjacent lockers `p → s` with `gid(p) >
+/// gid(s)` lands backwards unless an earlier one already reordered.
+fn has_backwards_recovery_arc(run: &Run) -> bool {
+    let mut chains: HashMap<EntityId, Vec<(usize, u32)>> = HashMap::new();
+    for (gid, (_, locks)) in lock_positions(run) {
+        for (e, at) in locks {
+            chains.entry(e).or_default().push((at, gid));
+        }
+    }
+    chains.values_mut().any(|c| {
+        c.sort_unstable();
+        c.windows(2).any(|w| w[0].1 > w[1].1)
+    })
+}
+
+/// Guards the generator itself: across a seed sweep of each gid shape
+/// it must exercise the cases the equivalence proptests claim to cover —
+/// retried commits (committed attempt > 0), permanent failures,
+/// genuinely non-serializable histories, and the auditor's two
+/// order-repair paths on serializable ones: a live-feed commit that
+/// inserts mid-chain (its order-side arc leaves the newest vertex, so it
+/// always lands backwards) and a recovery-feed arc against gid order. A
+/// vacuous generator would turn the proptests above into no-ops.
+#[test]
+fn generator_covers_the_interesting_cases() {
+    for gids in [Gids::Sparse, Gids::Dense] {
+        let (mut retried, mut failed, mut nonser, mut aborts) = (0, 0, 0, 0);
+        let (mut mid_chain, mut backwards) = (0, 0);
+        for seed in 0..300 {
+            let run = random_run(seed, gids);
+            aborts += run
+                .calls
+                .iter()
+                .filter(|c| matches!(c, Call::Abort(..)))
+                .count();
+            retried += usize::from(run.committed.values().any(|&a| a > 0));
+            failed += usize::from(run.committed.len() < run.instances.len());
+            let (audit_sys, _, steps) = committed_projection(&run);
+            match batch_verdict(&audit_sys, &steps) {
+                Some(false) => nonser += 1,
+                Some(true) => {
+                    mid_chain += usize::from(has_mid_chain_insert(&run));
+                    backwards += usize::from(has_backwards_recovery_arc(&run));
+                }
+                None => {}
+            }
+        }
+        assert!(
+            aborts > 100,
+            "{gids:?}: only {aborts} aborted attempts across the sweep"
+        );
+        assert!(
+            retried > 20,
+            "{gids:?}: only {retried} runs with a retried commit"
+        );
+        assert!(
+            failed > 20,
+            "{gids:?}: only {failed} runs with a failed instance"
+        );
+        assert!(nonser > 10, "{gids:?}: only {nonser} non-serializable runs");
+        assert!(
+            mid_chain > 20,
+            "{gids:?}: only {mid_chain} serializable runs with a mid-chain insert"
+        );
+        assert!(
+            backwards > 50,
+            "{gids:?}: only {backwards} serializable runs with a backwards recovery arc"
+        );
+    }
 }

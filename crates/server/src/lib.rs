@@ -93,4 +93,4 @@ pub use proto::{
     ErrorKind, InflateSpec, PhaseStat, PlanEntry, Registered, Request, Response, RunStats,
     SnapEntry, SnapshotReply, StatsSnapshot, TemplateStat,
 };
-pub use server::{ServeConfig, Server};
+pub use server::{ServeConfig, Server, MAX_SUBMIT};

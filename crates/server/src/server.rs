@@ -12,7 +12,15 @@
 //! clients together still cannot exceed the certified per-template
 //! multiprogramming. Submissions serialize on the engine lock — each
 //! run's wait-die timestamps are per-run instance ids, so two
-//! interleaved runs could not share the store safely.
+//! interleaved runs could not share the store safely. A submission that
+//! fits one admission chunk executes on its connection thread, under
+//! that lock; larger ones fan out to the engine's workers (see
+//! [`EngineConfig::threads`]).
+//!
+//! A `Submit` asking for more than [`MAX_SUBMIT`] instances is refused
+//! with [`ErrorKind::BadRequest`] before anything is built: the run
+//! materializes one entry per instance, so an unbounded count would let
+//! one request exhaust server memory.
 
 use crate::proto::{
     ErrorKind, InflateSpec, Registered, Request, Response, RunStats, SnapEntry, SnapshotReply,
@@ -28,6 +36,10 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Largest instance count one `Submit` may ask for. Larger requests get
+/// a typed [`ErrorKind::BadRequest`] (split them into several submits).
+pub const MAX_SUBMIT: u32 = 1 << 20;
 
 /// Server tuning: how registered engines are configured.
 #[derive(Debug, Clone)]
@@ -238,6 +250,12 @@ impl Shared {
     }
 
     fn submit(&self, template: &str, count: u32) -> Response {
+        if count > MAX_SUBMIT {
+            return Response::Error {
+                kind: ErrorKind::BadRequest,
+                message: format!("submit count {count} exceeds MAX_SUBMIT {MAX_SUBMIT}"),
+            };
+        }
         // Hold the engine lock for the whole run: submissions serialize
         // (wait-die timestamps are per-run ids), registrations cannot
         // swap the engine mid-run.

@@ -5,9 +5,14 @@
 //!   **zero aborts**, a serializable audited history, and conserved
 //!   balances;
 //! * an **uncertified** greedy pair completes via the wait-die fallback,
-//!   paying for its missing certificate with real aborts.
+//!   paying for its missing certificate with real aborts;
+//! * a run that fits one admission chunk executes on the calling thread
+//!   with the same guarantees, audit and recovery as a pooled run.
 
-use ddlf::engine::{AdmissionVerdict, Engine, EngineConfig, Program, TemplateRegistry};
+use ddlf::engine::{
+    recover, AdmissionOptions, AdmissionVerdict, Engine, EngineConfig, Inflation, Program,
+    TemplateRegistry,
+};
 use ddlf::model::TxnId;
 use ddlf::workloads::{bank_greedy_pair, bank_ordered_pair};
 use std::time::Duration;
@@ -130,4 +135,74 @@ fn forced_fallback_still_correct_on_certified_system() {
     // Both conserve money.
     assert_eq!(trusted.store().total_int(), 6_000);
     assert_eq!(distrustful.store().total_int(), 6_000);
+}
+
+/// `threads = 4` but `admission_batch ≥ instances`: the run is one chunk,
+/// so it executes on the calling thread instead of a worker pool. The
+/// certified path, the wait-die path, and WAL recovery must all behave
+/// exactly as on a pooled run.
+#[test]
+fn one_chunk_run_on_the_calling_thread_keeps_every_guarantee() {
+    const N: usize = 32;
+    let (bank, sys) = bank_ordered_pair();
+    let admission = AdmissionOptions {
+        inflate: Inflation::Uniform(2),
+        ..Default::default()
+    };
+    let registry = || {
+        with_transfer_programs(
+            TemplateRegistry::register_with(sys.clone(), admission.clone()),
+            &bank,
+        )
+    };
+    let one_chunk = |dir: Option<std::path::PathBuf>| EngineConfig {
+        admission_batch: N,
+        wal_dir: dir,
+        wal_sync: true,
+        group_commit: Some(8),
+        ..config(N, 4, 0)
+    };
+
+    let dir = std::env::temp_dir().join(format!("ddlf-one-chunk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = Engine::with_registry(registry(), one_chunk(Some(dir.clone())));
+    assert!(engine.registry().verdict().is_certified());
+    let report = engine.run();
+    assert!(report.all_committed(), "{report:?}");
+    assert_eq!(report.committed, N);
+    assert_eq!(report.aborted_attempts, 0, "{report:?}");
+    assert_eq!(report.serializable, Some(true), "{report:?}");
+    for t in &report.per_template {
+        let limit = t.certified_slots.limit().expect("uniform inflation bounds");
+        assert!(
+            (1..=limit).contains(&t.peak_inflight),
+            "{}: peak {} outside 1..={limit}",
+            t.name,
+            t.peak_inflight
+        );
+    }
+    assert_eq!(engine.store().total_int(), 6_000, "transfers must conserve");
+
+    // The WAL the calling thread wrote rebuilds the live committed state.
+    let rec = recover(&dir).expect("recover the one-chunk run");
+    assert_eq!(rec.committed, N, "{}", rec.summary());
+    assert_eq!(rec.serializable, Some(true), "{:?}", rec.audit_error);
+    assert_eq!(rec.torn_tails, 0);
+    assert_eq!(rec.store.snapshot(), engine.store().snapshot());
+    assert_eq!(rec.store.total_int(), engine.store().total_int());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Distrusting the certificate: the same one-chunk run on wait-die.
+    let fallback = Engine::with_registry(
+        registry(),
+        EngineConfig {
+            force_fallback: true,
+            ..one_chunk(None)
+        },
+    );
+    let r = fallback.run();
+    assert!(r.forced_fallback);
+    assert!(r.all_committed(), "{r:?}");
+    assert_eq!(r.serializable, Some(true), "{r:?}");
+    assert_eq!(fallback.store().total_int(), 6_000);
 }

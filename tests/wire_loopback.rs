@@ -154,6 +154,23 @@ fn typed_errors_come_back_over_the_wire() {
         other => panic!("expected UnknownTemplate, got {other:?}"),
     }
 
+    // A count past MAX_SUBMIT is refused typed before any instance is
+    // built, and the connection keeps serving: the next submit commits.
+    match client.submit("transfer_0_to_1", u32::MAX) {
+        Err(ClientError::Server { kind, message }) => {
+            assert_eq!(kind, ErrorKind::BadRequest);
+            assert!(message.contains("MAX_SUBMIT"), "{message}");
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    let stats = client
+        .submit("transfer_0_to_1", 4)
+        .expect("submit after a refused one");
+    assert!(
+        stats.all_committed() && stats.serializable == Some(true),
+        "{stats:?}"
+    );
+
     client.shutdown().expect("shutdown");
     handle.join().unwrap();
 }
